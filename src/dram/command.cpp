@@ -16,24 +16,39 @@ const char* to_string(CommandKind kind) {
 }
 
 void CommandTrace::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  if (records_.size() > capacity_) {
-    dropped_ += records_.size() - capacity_;
-    records_.erase(records_.begin(),
-                   records_.end() - static_cast<std::ptrdiff_t>(capacity_));
+  std::vector<CommandRecord> kept = records();
+  if (kept.size() > capacity) {
+    dropped_ += kept.size() - capacity;
+    kept.erase(kept.begin(),
+               kept.end() - static_cast<std::ptrdiff_t>(capacity));
   }
+  ring_ = std::move(kept);
+  head_ = 0;
+  capacity_ = capacity;
 }
 
 void CommandTrace::record_slow(const CommandRecord& rec) {
-  if (records_.size() == capacity_) {
-    records_.erase(records_.begin());
-    ++dropped_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(rec);
+    return;
   }
-  records_.push_back(rec);
+  ring_[head_] = rec;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  ++dropped_;
+}
+
+std::vector<CommandRecord> CommandTrace::records() const {
+  std::vector<CommandRecord> out;
+  out.reserve(ring_.size());
+  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
+  out.insert(out.end(), head, ring_.end());
+  out.insert(out.end(), ring_.begin(), head);
+  return out;
 }
 
 void CommandTrace::clear() {
-  records_.clear();
+  ring_.clear();
+  head_ = 0;
   dropped_ = 0;
 }
 

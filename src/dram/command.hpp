@@ -32,7 +32,8 @@ struct CommandRecord {
   Picoseconds issued_at = 0;
 };
 
-/// Bounded command trace; keeps the most recent `capacity` records.
+/// Bounded command trace; keeps the most recent `capacity` records in a
+/// ring, so recording stays O(1) once the trace is full.
 class CommandTrace {
  public:
   explicit CommandTrace(std::size_t capacity = 0) : capacity_(capacity) {}
@@ -47,15 +48,16 @@ class CommandTrace {
     record_slow(rec);
   }
 
-  [[nodiscard]] const std::vector<CommandRecord>& records() const {
-    return records_;
-  }
+  /// Retained records, oldest first (a copy: the ring itself is stored
+  /// rotated once it wraps).
+  [[nodiscard]] std::vector<CommandRecord> records() const;
   [[nodiscard]] std::size_t dropped() const { return dropped_; }
   void clear();
 
  private:
   std::size_t capacity_;
-  std::vector<CommandRecord> records_;
+  std::vector<CommandRecord> ring_;  ///< grows to capacity_, then wraps
+  std::size_t head_ = 0;             ///< oldest record once ring_ is full
   std::size_t dropped_ = 0;
 
   void record_slow(const CommandRecord& rec);

@@ -9,9 +9,10 @@
 // times (checked by swap()).
 //
 // Epoch: every mutation (swap_logical, reset) bumps epoch().  Schedulers
-// that cache decoded {logical → physical} translations on queued requests
-// (traffic::FrFcfsScheduler) tag the cache with the epoch and re-translate
-// only when it changed — the decode-once fast path of the request pipeline.
+// that cache decoded {logical → physical} translations of queued requests
+// (traffic::FrFcfsScheduler, per bank queue) tag the cache with the epoch
+// and re-translate only when it changed — the decode-once fast path of the
+// request pipeline.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "integrity/checksum.hpp"
 
 #include <bit>
+#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -36,6 +37,43 @@ double detection_rate(std::uint64_t corrected_bits,
 }
 
 namespace {
+
+// Parity2d kernel: 8 data bytes per step.  Bytes are assembled LSB-first
+// (memcpy on little-endian hosts), so byte j of a word is bits [8j, 8j+8)
+// and its row-parity bit lands at bit j of the packed byte, matching the
+// stored layout (row-parity bit of data byte j at bit j % 8 of byte j / 8).
+
+[[nodiscard]] std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, sizeof(w));
+  } else {
+    for (unsigned k = 0; k < 8; ++k) {
+      w |= static_cast<std::uint64_t>(p[k]) << (8 * k);
+    }
+  }
+  return w;
+}
+
+/// Parity of each of the word's 8 bytes, packed into one byte (bit j =
+/// parity of byte j).  XOR-folding leaves each byte's parity in its low
+/// bit; the multiply gathers the 8 low bits into the top byte — partial
+/// products never collide, so no carry disturbs it.
+[[nodiscard]] std::uint8_t byte_parities(std::uint64_t w) {
+  w ^= w >> 4;
+  w ^= w >> 2;
+  w ^= w >> 1;
+  w &= 0x0101010101010101ULL;
+  return static_cast<std::uint8_t>((w * 0x0102040810204080ULL) >> 56);
+}
+
+/// XOR of a word's 8 bytes.
+[[nodiscard]] std::uint8_t fold_bytes(std::uint64_t w) {
+  w ^= w >> 32;
+  w ^= w >> 16;
+  w ^= w >> 8;
+  return static_cast<std::uint8_t>(w);
+}
 
 [[nodiscard]] constexpr unsigned byte_parity(std::uint8_t b) {
   return static_cast<unsigned>(std::popcount(b)) & 1u;
@@ -81,13 +119,20 @@ void BlockChecksums::compute(std::span<const std::uint8_t> data,
                              std::span<std::uint8_t> out) const {
   for (auto& b : out) b = 0;
   if (config_.scheme == Scheme::kParity2D) {
-    std::uint8_t column = 0;
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      column ^= data[j];
-      out[1 + j / 8] = static_cast<std::uint8_t>(
-          out[1 + j / 8] | (byte_parity(data[j]) << (j % 8)));
+    const std::size_t words = data.size() / 8;
+    std::uint64_t column = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t word = load_word(data.data() + 8 * w);
+      column ^= word;
+      out[1 + w] = byte_parities(word);
     }
-    out[0] = column;
+    std::uint8_t col = fold_bytes(column);
+    for (std::size_t j = 8 * words; j < data.size(); ++j) {
+      col ^= data[j];
+      out[1 + words] = static_cast<std::uint8_t>(
+          out[1 + words] | (byte_parity(data[j]) << (j % 8)));
+    }
+    out[0] = col;
   } else {
     std::uint16_t sum = 0;
     for (const std::uint8_t b : data) {
@@ -121,18 +166,32 @@ Diagnosis BlockChecksums::diagnose(
     return d;
   }
 
-  std::uint8_t column = 0;
+  const std::size_t words = data.size() / 8;
+  std::uint64_t column = 0;
   std::size_t row_mismatches = 0;
   std::size_t first_row = 0;
-  for (std::size_t j = 0; j < data.size(); ++j) {
-    column ^= data[j];
-    const unsigned want = (ref[1 + j / 8] >> (j % 8)) & 1u;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t word = load_word(data.data() + 8 * w);
+    column ^= word;
+    const auto diff =
+        static_cast<std::uint8_t>(byte_parities(word) ^ ref[1 + w]);
+    if (diff != 0) {
+      if (row_mismatches == 0) {
+        first_row = 8 * w + static_cast<std::size_t>(std::countr_zero(diff));
+      }
+      row_mismatches += static_cast<std::size_t>(std::popcount(diff));
+    }
+  }
+  std::uint8_t col = fold_bytes(column);
+  for (std::size_t j = 8 * words; j < data.size(); ++j) {
+    col ^= data[j];
+    const unsigned want = (ref[1 + words] >> (j % 8)) & 1u;
     if (byte_parity(data[j]) != want) {
       if (row_mismatches == 0) first_row = j;
       ++row_mismatches;
     }
   }
-  const std::uint8_t col_diff = static_cast<std::uint8_t>(column ^ ref[0]);
+  const std::uint8_t col_diff = static_cast<std::uint8_t>(col ^ ref[0]);
   const int col_bits = std::popcount(col_diff);
 
   if (col_bits == 0 && row_mismatches == 0) {

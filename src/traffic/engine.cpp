@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 
 #include "common/error.hpp"
 
@@ -16,14 +18,19 @@ double TenantStats::row_hit_rate() const {
 
 namespace {
 
-/// Nearest-rank percentile: the smallest sample >= q of the distribution.
-/// (A floored index would report the *minimum* as p99 of two samples.)
-Picoseconds rank_quantile(const std::vector<Picoseconds>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
+/// Index of the nearest-rank q-percentile in a sorted set of n > 0
+/// samples: the smallest sample >= q of the distribution.  (A floored
+/// index would report the *minimum* as p99 of two samples.)
+std::size_t rank_index(std::size_t n, double q) {
+  const double rank = std::ceil(q * static_cast<double>(n));
   const auto idx = rank < 1.0 ? std::size_t{0}
                               : static_cast<std::size_t>(rank) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
+  return std::min(idx, n - 1);
+}
+
+Picoseconds rank_quantile(const std::vector<Picoseconds>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  return sorted[rank_index(sorted.size(), q)];
 }
 
 }  // namespace
@@ -66,8 +73,8 @@ TrafficEngine::TrafficEngine(dl::dram::Controller& ctrl,
   retry_count_.resize(tenants.size(), 0);
   deadline_.resize(tenants.size(), 0);
   slo_p99_.resize(tenants.size(), 0);
-  cached_p99_.resize(tenants.size(), 0);
-  p99_samples_.resize(tenants.size(), 0);
+  p99_.resize(tenants.size());
+  park_.resize(tenants.size());
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     if (tenants[i].name.empty()) {
       // Built with append rather than operator+ chains: GCC 12's -Wrestrict
@@ -85,10 +92,11 @@ TrafficEngine::TrafficEngine(dl::dram::Controller& ctrl,
     deadline_[i] = tenants[i].deadline;
     slo_p99_[i] = tenants[i].slo_p99;
     // Every declared request is eventually serviced and records one
-    // latency sample; reserving up front keeps the drain loop free of
-    // reallocation growth.
-    stats_[i].queue_latency.reserve(
-        static_cast<std::size_t>(tenants[i].requests));
+    // latency sample; reserving up front keeps the drain loop (and the
+    // SLO tracker fed from it) free of reallocation growth.
+    const auto samples = static_cast<std::size_t>(tenants[i].requests);
+    stats_[i].queue_latency.reserve(samples);
+    if (admission_.enabled && slo_p99_[i] > 0) p99_[i].reserve(samples);
   }
 }
 
@@ -119,19 +127,53 @@ void TrafficEngine::record(const Serviced& s) {
   if (data_sink_ && !s.data.empty()) data_sink_(s);
 }
 
+void P99Tracker::add(Picoseconds sample) {
+  if (!low_.empty() && sample > low_.front()) {
+    high_.push_back(sample);
+    std::push_heap(high_.begin(), high_.end(), std::greater<>());
+  } else {
+    low_.push_back(sample);
+    std::push_heap(low_.begin(), low_.end());
+  }
+  // Every low_ sample is <= every high_ sample; rebalance so low_ holds
+  // exactly the rank-many smallest (the rank moves by at most one per add).
+  const std::size_t rank = rank_index(size(), 0.99) + 1;
+  if (low_.size() > rank) {
+    std::pop_heap(low_.begin(), low_.end());
+    high_.push_back(low_.back());
+    low_.pop_back();
+    std::push_heap(high_.begin(), high_.end(), std::greater<>());
+  } else if (low_.size() < rank) {
+    std::pop_heap(high_.begin(), high_.end(), std::greater<>());
+    low_.push_back(high_.back());
+    high_.pop_back();
+    std::push_heap(low_.begin(), low_.end());
+  }
+}
+
 bool TrafficEngine::should_shed(std::size_t i) {
   if (!admission_.enabled || slo_p99_[i] == 0) return false;
-  TenantStats& t = stats_[i];
-  if (t.queue_latency.size() < admission_.min_latency_samples) return false;
-  // Re-sorting the whole sample set per injection would dominate the loop;
-  // the cached p99 advances every kP99Stride completions, which is fresh
-  // enough for load shedding (an SLO breach persists across strides).
-  if (t.queue_latency.size() - p99_samples_[i] >= kP99Stride ||
-      p99_samples_[i] == 0) {
-    cached_p99_[i] = t.latency_quantile(0.99);
-    p99_samples_[i] = t.queue_latency.size();
+  const std::vector<Picoseconds>& samples = stats_[i].queue_latency;
+  if (samples.size() < admission_.min_latency_samples) return false;
+  P99Tracker& p99 = p99_[i];
+  if (samples.size() - p99.size() >= kP99Stride || p99.size() == 0) {
+    for (std::size_t k = p99.size(); k < samples.size(); ++k) {
+      p99.add(samples[k]);
+    }
   }
-  return cached_p99_[i] > slo_p99_[i];
+  return p99.value() > slo_p99_[i];
+}
+
+bool TrafficEngine::parked(std::size_t i) const {
+  const Park& park = park_[i];
+  return park.active && park.epoch == ctrl_.indirection().epoch() &&
+         scheduler_.bank_full(park.bank);
+}
+
+void TrafficEngine::pop_head(std::size_t i) {
+  retry_count_[i] = 0;
+  park_[i].active = false;
+  streams_[i].pop();
 }
 
 TrafficReport TrafficEngine::run() {
@@ -149,39 +191,48 @@ TrafficReport TrafficEngine::run() {
     for (std::size_t i = 0; i < streams_.size(); ++i) {
       Stream& stream = streams_[i];
       for (std::uint32_t b = 0; b < stream.spec().burst; ++b) {
-        auto req = stream.peek();
-        if (!req.has_value()) break;
+        if (stream.exhausted()) break;
+        // A parked head request skips peek and try_enqueue (it would be
+        // rejected on the same full bank); everything else — the shed
+        // check first, then the rejection's accounting — runs as usual.
+        const bool stalled = parked(i);
+        std::optional<Request> req;
+        if (!stalled) req = stream.peek();
         if (should_shed(i)) {
           // SLO breach: shed at admission instead of deepening the queue.
           ++stats_[i].shed;
-          retry_count_[i] = 0;
-          stream.pop();
+          pop_head(i);
           work = true;
           continue;
         }
-        req->seq = next_seq_;
-        if (!scheduler_.try_enqueue(*req)) {
-          ++stats_[i].rejected_enqueues;
-          if (!admission_.enabled) break;
-          if (++retry_count_[i] > admission_.retry_budget) {
-            // Retry budget exhausted: fail the request explicitly.
-            ++stats_[i].failed;
-            retry_count_[i] = 0;
-            stream.pop();
+        if (stalled) {
+          ctrl_.counters().add(dl::dram::Counter::kRejectedEnqueues);
+        } else {
+          req->seq = next_seq_;
+          if (scheduler_.try_enqueue(*req)) {
+            ++next_seq_;
+            ++stats_[i].issued;
+            pop_head(i);
             work = true;
             continue;
           }
-          ++stats_[i].retried;
-          if (admission_.retry_backoff > 0) {
-            ctrl_.advance_time(admission_.retry_backoff);
-          }
-          break;  // back-pressure: stall the tenant for this round
+          park_[i] = {true, scheduler_.rejected_bank(),
+                      ctrl_.indirection().epoch()};
         }
-        ++next_seq_;
-        ++stats_[i].issued;
-        retry_count_[i] = 0;
-        stream.pop();
-        work = true;
+        ++stats_[i].rejected_enqueues;
+        if (!admission_.enabled) break;
+        if (++retry_count_[i] > admission_.retry_budget) {
+          // Retry budget exhausted: fail the request explicitly.
+          ++stats_[i].failed;
+          pop_head(i);
+          work = true;
+          continue;
+        }
+        ++stats_[i].retried;
+        if (admission_.retry_backoff > 0) {
+          ctrl_.advance_time(admission_.retry_backoff);
+        }
+        break;  // back-pressure: stall the tenant for this round
       }
     }
     if (scheduler_.drain_pass(sink) > 0) work = true;

@@ -96,6 +96,30 @@ struct TrafficReport {
                                       Picoseconds elapsed);
 [[nodiscard]] dl::json::Value to_json(const TrafficReport& report);
 
+/// Exact nearest-rank p99 of a growing sample set — always equal to
+/// TenantStats::latency_quantile(0.99) over the samples added so far.  A
+/// max-heap holds the rank-many smallest samples (its top is the p99) and
+/// a min-heap the rest, so a new sample costs O(log n), not a re-sort.
+class P99Tracker {
+ public:
+  void add(Picoseconds sample);
+  /// Pre-sizes both heaps for `samples` adds (high_ never holds more than
+  /// 1% of them), so feeding the tracker never reallocates.
+  void reserve(std::size_t samples) {
+    low_.reserve(samples);
+    high_.reserve(samples / 100 + 1);
+  }
+  [[nodiscard]] std::size_t size() const { return low_.size() + high_.size(); }
+  /// 0 while empty.
+  [[nodiscard]] Picoseconds value() const {
+    return low_.empty() ? 0 : low_.front();
+  }
+
+ private:
+  std::vector<Picoseconds> low_;   ///< max-heap: samples up to the rank
+  std::vector<Picoseconds> high_;  ///< min-heap: samples above it
+};
+
 /// Thread safety: none — an engine owns one controller's request flow for
 /// the duration of run().  Determinism: with fixed tenant specs the full
 /// service order, all statistics, and every byte moved are identical on
@@ -138,16 +162,31 @@ class TrafficEngine {
   /// outcome counters).
   std::vector<Picoseconds> deadline_;
   std::vector<Picoseconds> slo_p99_;
-  /// Cached p99 per tenant, recomputed every kP99Stride new samples so
-  /// SLO checks stay off the sort-per-injection path.
-  std::vector<Picoseconds> cached_p99_;
-  std::vector<std::size_t> p99_samples_;
+
+  /// Per-tenant p99 for SLO shedding, fed only every kP99Stride new
+  /// samples (an SLO breach persists across strides), so shed decisions
+  /// read the p99 as of the last refresh.
+  std::vector<P99Tracker> p99_;
 
   static constexpr std::size_t kP99Stride = 32;
+
+  /// Tenant whose head request was rejected on a full bank.  While the
+  /// indirection epoch is unchanged and that bank is still full, the same
+  /// request would decode to the same bank and be rejected again, so the
+  /// engine accounts the rejection without re-peeking or re-enqueueing.
+  struct Park {
+    bool active = false;
+    std::size_t bank = 0;
+    std::uint64_t epoch = 0;
+  };
+  std::vector<Park> park_;
 
   void record(const Serviced& s);
   /// True when admission control should shed tenant `i`'s next request.
   [[nodiscard]] bool should_shed(std::size_t i);
+  [[nodiscard]] bool parked(std::size_t i) const;
+  /// Consumes tenant `i`'s head request (issued, shed or failed).
+  void pop_head(std::size_t i);
 };
 
 }  // namespace dl::traffic

@@ -20,21 +20,18 @@ FrFcfsScheduler::FrFcfsScheduler(Controller& ctrl,
   for (auto& q : queues_) q.init(config_.queue_capacity);
 }
 
-void FrFcfsScheduler::decode(Request& req) const {
-  req.logical_row = ctrl_.mapper().row_of(req.addr);
-  req.physical_row = ctrl_.indirection().to_physical(req.logical_row);
-  req.decode_epoch = ctrl_.indirection().epoch();
-}
-
 bool FrFcfsScheduler::try_enqueue(Request req) {
-  decode(req);
-  BankQueue& q = queues_[topo_.bank_of_row(req.physical_row)];
+  req.logical_row = ctrl_.mapper().row_of(req.addr);
+  const GlobalRowId physical = ctrl_.indirection().to_physical(req.logical_row);
+  const std::size_t bank = topo_.bank_of_row(physical);
+  BankQueue& q = queues_[bank];
   if (q.full()) {
+    rejected_bank_ = bank;
     ctrl_.counters().add(dl::dram::Counter::kRejectedEnqueues);
     return false;
   }
   req.enqueued_at = ctrl_.now();
-  q.push_back(req);
+  q.push_back(req, physical);
   ++pending_;
   return true;
 }
@@ -47,19 +44,13 @@ std::size_t FrFcfsScheduler::pick(std::size_t bank) {
   }
   const GlobalRowId open = topo_.open_row(bank);
   if (open == dl::dram::Topology::kNoRow) return 0;
-  const std::uint64_t epoch = ctrl_.indirection().epoch();
-  for (std::uint32_t i = 0; i < q.size(); ++i) {
-    // Row-hit test under the *current* indirection: a swap defense may have
-    // migrated the row since enqueue, so stale caches are re-translated
-    // (the logical row never changes — the address map is immutable).
-    Request& r = q.at(i);
-    if (r.decode_epoch != epoch) {
-      r.physical_row = ctrl_.indirection().to_physical(r.logical_row);
-      r.decode_epoch = epoch;
-    }
-    if (r.physical_row == open) return i;
-  }
-  return 0;
+  // Row-hit test under the *current* indirection: a swap defense may have
+  // migrated rows since enqueue, so the bank's rows are re-translated once
+  // per epoch change (the logical row never changes — the address map is
+  // immutable).
+  const dl::dram::RowIndirection& indirection = ctrl_.indirection();
+  if (q.epoch() != indirection.epoch()) q.retranslate(indirection);
+  return q.find_row(open);
 }
 
 }  // namespace dl::traffic

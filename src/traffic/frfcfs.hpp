@@ -17,11 +17,12 @@
 // Hot-path structure (see docs/ARCHITECTURE.md "Hot path & performance
 // model"): bank queues are fixed-capacity index rings (O(1) head removal,
 // O(idx) mid-queue removal instead of the old O(n) vector::erase);
-// addresses are decoded once at enqueue and cached on the Request,
-// invalidated by the indirection epoch counter, so pick() compares cached
-// physical rows instead of re-translating every queued request on every
-// service decision; the drain path is templated on the sink so per-request
-// dispatch never goes through std::function.
+// addresses are decoded once at enqueue (the logical row is cached on the
+// Request) and each bank keeps its queued requests' physical rows in a flat
+// array parallel to the ring, re-translated once per indirection-epoch
+// change, so pick() scans 8-byte rows instead of whole requests; the drain
+// path is templated on the sink so per-request dispatch never goes through
+// std::function.
 //
 // Determinism contract: scheduling is a pure function of the enqueue
 // sequence and the controller's row-buffer/indirection state — fixed bank
@@ -32,6 +33,7 @@
 // controllers, never within one).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -78,15 +80,20 @@ class FrFcfsScheduler {
   }
 
   /// Stamps the controller clock on the request, decodes its address once
-  /// (bank, logical row, physical row cached on the request), and queues
-  /// it; false when the target bank queue is full (caller retries after a
-  /// drain pass).
+  /// (logical row cached on the request, physical row kept by the bank
+  /// queue), and queues it; false when the target bank queue is full
+  /// (caller retries after a drain pass; rejected_bank() names the bank).
   bool try_enqueue(Request req);
 
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::size_t pending_in_bank(std::size_t bank) const {
     return queues_[bank].size();
   }
+  [[nodiscard]] bool bank_full(std::size_t bank) const {
+    return queues_[bank].full();
+  }
+  /// Bank of the most recent try_enqueue that returned false.
+  [[nodiscard]] std::size_t rejected_bank() const { return rejected_bank_; }
 
   /// One pass over all banks, servicing up to config().batch requests per
   /// bank; `sink` observes every serviced request.  Returns requests
@@ -112,30 +119,68 @@ class FrFcfsScheduler {
   }
 
  private:
-  /// Fixed-capacity ring of requests in arrival order.  Removal preserves
-  /// relative order: taking the i-th oldest shifts only the i older
-  /// entries between it and the head (O(1) for the head itself, which is
-  /// the common FCFS / fairness-cap case).
+  /// Fixed-capacity ring of requests in arrival order, with the physical
+  /// row of each request in a flat array at the same ring positions.
+  /// Removal preserves relative order: taking the i-th oldest shifts only
+  /// the i older entries between it and the head (O(1) for the head
+  /// itself, which is the common FCFS / fairness-cap case).
   class BankQueue {
    public:
-    void init(std::uint32_t capacity) { slots_.resize(capacity); }
+    void init(std::uint32_t capacity) {
+      slots_.resize(capacity);
+      rows_.resize(capacity);
+    }
 
     [[nodiscard]] std::uint32_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }
     [[nodiscard]] bool full() const { return size_ == slots_.size(); }
 
-    /// i-th oldest request (0 = queue head).
-    [[nodiscard]] Request& at(std::uint32_t i) { return slots_[wrap(head_ + i)]; }
+    /// Indirection epoch of the last re-translation.  Rows pushed since
+    /// were translated at enqueue under that epoch or a newer one, so they
+    /// are stale only if the epoch moved, and re-translating them is
+    /// harmless either way.
+    [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-    void push_back(const Request& req) {
-      slots_[wrap(head_ + size_)] = req;
+    void push_back(const Request& req, dl::dram::GlobalRowId physical_row) {
+      const std::uint32_t pos = wrap(head_ + size_);
+      slots_[pos] = req;
+      rows_[pos] = physical_row;
       ++size_;
+    }
+
+    /// Re-derives every queued physical row from its logical row.
+    void retranslate(const dl::dram::RowIndirection& indirection) {
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        const std::uint32_t pos = wrap(head_ + i);
+        rows_[pos] = indirection.to_physical(slots_[pos].logical_row);
+      }
+      epoch_ = indirection.epoch();
+    }
+
+    /// Queue index of the oldest request on physical row `row`, or 0 when
+    /// none is (the head).
+    [[nodiscard]] std::uint32_t find_row(dl::dram::GlobalRowId row) const {
+      const auto cap = static_cast<std::uint32_t>(rows_.size());
+      const std::uint32_t first = std::min(size_, cap - head_);
+      for (std::uint32_t i = 0; i < first; ++i) {
+        if (rows_[head_ + i] == row) return i;
+      }
+      for (std::uint32_t i = first; i < size_; ++i) {
+        if (rows_[i - first] == row) return i;
+      }
+      return 0;
     }
 
     /// Removes and returns the i-th oldest request.
     Request take(std::uint32_t i) {
-      Request out = at(i);
-      for (; i > 0; --i) at(i) = at(i - 1);
+      std::uint32_t pos = wrap(head_ + i);
+      Request out = slots_[pos];
+      for (; i > 0; --i) {
+        const std::uint32_t prev = wrap(head_ + i - 1);
+        slots_[pos] = slots_[prev];
+        rows_[pos] = rows_[prev];
+        pos = prev;
+      }
       head_ = wrap(head_ + 1);
       --size_;
       return out;
@@ -148,8 +193,10 @@ class FrFcfsScheduler {
     }
 
     std::vector<Request> slots_;
+    std::vector<dl::dram::GlobalRowId> rows_;  ///< physical row per slot
     std::uint32_t head_ = 0;
     std::uint32_t size_ = 0;
+    std::uint64_t epoch_ = 0;
   };
 
   dl::dram::Controller& ctrl_;
@@ -160,14 +207,12 @@ class FrFcfsScheduler {
   std::vector<BankQueue> queues_;                ///< per bank, arrival order
   std::vector<std::uint32_t> head_bypasses_;     ///< per bank fairness state
   std::size_t pending_ = 0;
+  std::size_t rejected_bank_ = 0;
   std::vector<std::uint8_t> read_scratch_;       ///< grow-only read buffer
   std::vector<std::uint8_t> write_scratch_;      ///< 0xA5-filled, grow-only
 
-  /// Fills the request's decode cache from the current indirection state.
-  void decode(Request& req) const;
-
-  /// Index into the bank queue of the request to service next; refreshes
-  /// stale physical-row caches (indirection epoch) along the way.
+  /// Index into the bank queue of the request to service next; first
+  /// re-translates the bank's physical rows if the indirection epoch moved.
   [[nodiscard]] std::size_t pick(std::size_t bank);
 
   template <typename Sink>

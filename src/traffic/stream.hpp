@@ -54,9 +54,6 @@ enum class StreamKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(StreamKind kind);
 
-/// Decode-cache epoch value marking a request as not yet decoded.
-inline constexpr std::uint64_t kNoDecodeEpoch = ~std::uint64_t{0};
-
 /// One queued DRAM request.  bytes == 0 marks an ACT-only hammer request.
 struct Request {
   dl::dram::PhysAddr addr = 0;
@@ -70,14 +67,10 @@ struct Request {
   std::uint64_t seq = 0;
   Picoseconds enqueued_at = 0;    ///< controller clock at enqueue
 
-  // Decode-once cache, filled by the scheduler at enqueue so service
-  // decisions stop re-translating the address.  `logical_row` is fixed by
-  // the immutable address map; `physical_row` is valid only while
-  // `decode_epoch` matches RowIndirection::epoch() (a swap defense may
-  // migrate the row while the request is queued) and is refreshed lazily.
+  /// Decoded once by the scheduler at enqueue; fixed by the immutable
+  /// address map.  The physical row it maps to can move while the request
+  /// is queued (swap defenses), so the scheduler's bank queue tracks that.
   dl::dram::GlobalRowId logical_row = 0;
-  dl::dram::GlobalRowId physical_row = 0;
-  std::uint64_t decode_epoch = kNoDecodeEpoch;
 };
 
 /// Declarative description of one tenant's traffic.  Fields irrelevant to
@@ -170,6 +163,12 @@ class Stream {
 
   /// Next request (seq / enqueued_at unset), or nullopt when exhausted.
   [[nodiscard]] std::optional<Request> peek();
+
+  /// True once every request was generated and the last one consumed —
+  /// exactly when peek() would return nullopt.
+  [[nodiscard]] bool exhausted() const {
+    return !pending_.has_value() && issued_ >= spec_.requests;
+  }
 
   /// Consumes the peeked request.
   void pop();

@@ -3,11 +3,15 @@
 // integration (including DL_THREADS determinism of integrity campaigns).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "integrity/checksum.hpp"
 #include "integrity/scrubber.hpp"
 #include "integrity/weight_integrity.hpp"
@@ -91,6 +95,154 @@ TEST(Checksum, Parity2DFlipInChecksumStorageIsDistinguished) {
   sums.flip_checksum_bit(0, 1 + 13 / 8, 13 % 8);
   EXPECT_EQ(sums.diagnose(0, image).state,
             Diagnosis::State::kChecksumCorrupt);
+}
+
+// Byte-at-a-time reference of the parity2d layout: the column-parity byte,
+// then one row-parity bit per data byte packed LSB-first.
+std::vector<std::uint8_t> reference_parity2d(std::span<const std::uint8_t> data,
+                                             std::size_t group_size) {
+  std::vector<std::uint8_t> out(1 + (group_size + 7) / 8, 0);
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    out[0] ^= data[j];
+    const unsigned parity = static_cast<unsigned>(std::popcount(data[j])) & 1u;
+    out[1 + j / 8] = static_cast<std::uint8_t>(out[1 + j / 8] |
+                                               (parity << (j % 8)));
+  }
+  return out;
+}
+
+Diagnosis reference_diagnose(std::span<const std::uint8_t> data,
+                             std::span<const std::uint8_t> ref) {
+  std::uint8_t column = 0;
+  std::size_t row_mismatches = 0;
+  std::size_t first_row = 0;
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    column ^= data[j];
+    const unsigned want = (ref[1 + j / 8] >> (j % 8)) & 1u;
+    if ((static_cast<unsigned>(std::popcount(data[j])) & 1u) != want) {
+      if (row_mismatches == 0) first_row = j;
+      ++row_mismatches;
+    }
+  }
+  const auto col_diff = static_cast<std::uint8_t>(column ^ ref[0]);
+  const int col_bits = std::popcount(col_diff);
+  Diagnosis d;
+  if (col_bits == 0 && row_mismatches == 0) {
+    d.state = Diagnosis::State::kClean;
+  } else if (col_bits == 1 && row_mismatches == 1) {
+    d.state = Diagnosis::State::kCorrectable;
+    d.byte = static_cast<std::uint32_t>(first_row);
+    d.bit = static_cast<unsigned>(std::countr_zero(col_diff));
+  } else if (col_bits + static_cast<int>(row_mismatches) == 1) {
+    d.state = Diagnosis::State::kChecksumCorrupt;
+  } else {
+    d.state = Diagnosis::State::kUncorrectable;
+  }
+  return d;
+}
+
+std::vector<std::uint8_t> stored_bytes(const BlockChecksums& sums,
+                                       std::size_t g) {
+  std::vector<std::uint8_t> out(sums.bytes_per_group());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = sums.checksum_byte(g, k);
+  }
+  return out;
+}
+
+void expect_same_diagnosis(const Diagnosis& got, const Diagnosis& want) {
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.byte, want.byte);
+  EXPECT_EQ(got.bit, want.bit);
+}
+
+TEST(Checksum, Parity2DMatchesByteWiseReference) {
+  // The kernel works on 8-byte words with a byte-wise tail; every group
+  // size below (multiples of 8 and not, each with a short final group)
+  // must store and diagnose exactly like the byte-at-a-time reference.
+  for (const std::uint32_t gs : {8u, 12u, 63u, 64u, 100u}) {
+    SCOPED_TRACE(gs);
+    Config cfg;
+    cfg.group_size = gs;
+    std::vector<std::uint8_t> image(2 * gs + gs / 2 + 3);
+    dl::Rng rng(gs);
+    for (auto& b : image) b = static_cast<std::uint8_t>(rng.next_below(256));
+    BlockChecksums sums(cfg, image);
+    ASSERT_EQ(sums.group_count(), 3u);
+    for (std::size_t g = 0; g < sums.group_count(); ++g) {
+      SCOPED_TRACE(g);
+      const auto [off, len] = sums.group_range(g);
+      std::vector<std::uint8_t> data(image.begin() + off,
+                                     image.begin() + off + len);
+      const auto ref = reference_parity2d(data, gs);
+      ASSERT_EQ(stored_bytes(sums, g), ref);
+      expect_same_diagnosis(sums.diagnose(g, data),
+                            reference_diagnose(data, ref));
+
+      // Every single data-bit flip, and a rebuild over the flipped bytes.
+      for (std::size_t j = 0; j < len; ++j) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+          data[j] = dl::flip_bit(data[j], bit);
+          const Diagnosis d = sums.diagnose(g, data);
+          EXPECT_EQ(d.state, Diagnosis::State::kCorrectable);
+          expect_same_diagnosis(d, reference_diagnose(data, ref));
+          data[j] = dl::flip_bit(data[j], bit);
+        }
+      }
+      data[len - 1] = dl::flip_bit(data[len - 1], 6u);
+      sums.rebuild(g, data);
+      EXPECT_EQ(stored_bytes(sums, g), reference_parity2d(data, gs));
+      data[len - 1] = dl::flip_bit(data[len - 1], 6u);
+      sums.rebuild(g, data);
+      ASSERT_EQ(stored_bytes(sums, g), ref);
+
+      // Every checksum-bit flip, including row-parity bits past the end of
+      // a short final group (which guard nothing and must stay ignored).
+      for (std::size_t k = 0; k < sums.bytes_per_group(); ++k) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+          sums.flip_checksum_bit(g, k, bit);
+          const auto flipped = stored_bytes(sums, g);
+          expect_same_diagnosis(sums.diagnose(g, data),
+                                reference_diagnose(data, flipped));
+          sums.flip_checksum_bit(g, k, bit);
+        }
+      }
+
+      // Double flips: two bits of one byte, and bits of two distinct bytes.
+      for (std::size_t j = 0; j < len; ++j) {
+        const std::size_t other = (j * 7 + 3) % len;
+        const unsigned b1 = static_cast<unsigned>(j % 8);
+        const unsigned b2 = static_cast<unsigned>((j + 3) % 8);
+        for (const std::size_t j2 : {j, other}) {
+          data[j] = dl::flip_bit(data[j], b1);
+          data[j2] = dl::flip_bit(data[j2], b2);
+          const Diagnosis d = sums.diagnose(g, data);
+          EXPECT_NE(d.state, Diagnosis::State::kClean);
+          expect_same_diagnosis(d, reference_diagnose(data, ref));
+          data[j2] = dl::flip_bit(data[j2], b2);
+          data[j] = dl::flip_bit(data[j], b1);
+        }
+      }
+
+      // Rectangles: two bytes flipped at the same two bit positions cancel
+      // every parity — the scheme's known false negative.
+      for (std::size_t j = 0; j + 1 < len; j += 5) {
+        const std::size_t j2 = len - 1 - j / 2;
+        if (j2 == j) continue;
+        for (const std::size_t byte : {j, j2}) {
+          data[byte] = dl::flip_bit(data[byte], 1u);
+          data[byte] = dl::flip_bit(data[byte], 6u);
+        }
+        const Diagnosis d = sums.diagnose(g, data);
+        EXPECT_EQ(d.state, Diagnosis::State::kClean);
+        expect_same_diagnosis(d, reference_diagnose(data, ref));
+        for (const std::size_t byte : {j, j2}) {
+          data[byte] = dl::flip_bit(data[byte], 6u);
+          data[byte] = dl::flip_bit(data[byte], 1u);
+        }
+      }
+    }
+  }
 }
 
 TEST(Checksum, Parity2DMultiFlipDetectedButUncorrectable) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "defense/dram_locker.hpp"
 #include "scenario/scenario.hpp"
 #include "traffic/engine.hpp"
@@ -533,6 +535,139 @@ TEST(TrafficEngine, SloBreachShedsLoad) {
   EXPECT_FALSE(legacy_report.tenants[0].admission);
   EXPECT_EQ(legacy_report.tenants[0].shed, 0u);
   EXPECT_EQ(legacy_report.tenants[0].issued, 300u);
+}
+
+// ------------------------------------------------------------ stall parking
+
+struct StallRun {
+  traffic::TrafficReport report;
+  std::string order;  ///< tenant id of every serviced read, in service order
+  double rejected_counter = 0.0;
+};
+
+/// Tenant 0 floods bank 0 ahead of tenant 1 in the fixed injection order,
+/// so with one free slot per drain pass tenant 1 stalls on the full bank
+/// round after round.  After the 12th serviced read a swap migrates
+/// tenant 1's rows into bank 1 while its head request is still stalled.
+StallRun run_stall_mix(bool admission_on) {
+  Controller ctrl = make_ctrl();
+  StreamSpec flood = StreamSpec::weight_reader(8, 2, 48, /*burst=*/4);
+  StreamSpec stalled = StreamSpec::weight_reader(20, 2, 24, /*burst=*/2);
+  stalled.slo_p99 = 60'000;  // 60 ns: breached only once the stall bites
+  SchedulerConfig cfg;
+  cfg.queue_capacity = 2;
+  cfg.batch = 1;
+  traffic::AdmissionSpec admission;
+  admission.enabled = admission_on;
+  admission.retry_budget = 3;
+  admission.retry_backoff = 1'000;
+  admission.min_latency_samples = 4;
+  traffic::TrafficEngine engine(ctrl, {flood, stalled}, cfg, admission);
+  StallRun out;
+  std::size_t reads = 0;
+  engine.set_data_sink([&](const traffic::Serviced& s) {
+    out.order += static_cast<char>('0' + s.req.tenant);
+    if (++reads == 12) {
+      ctrl.indirection().swap_logical(20, 300);  // bank 0 -> bank 1
+      ctrl.indirection().swap_logical(21, 301);
+    }
+  });
+  out.report = engine.run();
+  out.rejected_counter =
+      ctrl.counters().value(dram::Counter::kRejectedEnqueues);
+  return out;
+}
+
+TEST(TrafficEngine, StalledTenantAccountingIsPinned) {
+  for (const bool admission_on : {false, true}) {
+    SCOPED_TRACE(admission_on ? "admission on" : "admission off");
+    const StallRun run = run_stall_mix(admission_on);
+    std::uint64_t rejected = 0;
+    for (const auto& t : run.report.tenants) rejected += t.rejected_enqueues;
+    EXPECT_EQ(run.rejected_counter, static_cast<double>(rejected));
+    // Recorded from the engine before stalled tenants were parked: parking
+    // must not change a single count or the service order.
+    const auto& flood = run.report.tenants[0];
+    const auto& stalled = run.report.tenants[1];
+    EXPECT_EQ(flood.issued, 48u);
+    EXPECT_EQ(flood.rejected_enqueues, 46u);
+    EXPECT_EQ(flood.retried, admission_on ? 46u : 0u);
+    EXPECT_EQ(flood.failed, 0u);
+    EXPECT_EQ(flood.shed, 0u);
+    if (admission_on) {
+      EXPECT_EQ(stalled.issued, 5u);
+      EXPECT_EQ(stalled.rejected_enqueues, 18u);
+      EXPECT_EQ(stalled.retried, 15u);
+      EXPECT_EQ(stalled.failed, 3u);
+      EXPECT_EQ(stalled.shed, 16u);
+      EXPECT_EQ(run.order,
+                "0000000000000101010101000000000000000000000000000000"
+                "0");
+    } else {
+      EXPECT_EQ(stalled.issued, 24u);
+      EXPECT_EQ(stalled.rejected_enqueues, 33u);
+      EXPECT_EQ(stalled.retried, 0u);
+      EXPECT_EQ(stalled.failed, 0u);
+      EXPECT_EQ(stalled.shed, 0u);
+      // Tenant 1 is served only once the swap moves its rows off the
+      // flooded bank.
+      EXPECT_EQ(run.order,
+                "0000000000000101010101010101010101010101010101010101"
+                "01010101000000000000");
+    }
+  }
+}
+
+TEST(TrafficEngine, P99TrackerMatchesSortedNearestRank) {
+  // Three phases — low values with many ties, a jump to large values, a
+  // fall back — move samples across the heaps in both directions; after
+  // every add the tracker must equal the nearest-rank p99 of a full sort.
+  dl::Rng rng(17);
+  traffic::P99Tracker tracker;
+  traffic::TenantStats ref;
+  EXPECT_EQ(tracker.value(), 0);
+  for (std::uint64_t n = 0; n < 1500; ++n) {
+    const std::uint64_t lo = n >= 600 && n < 1100 ? 1000 : 0;
+    const auto sample = static_cast<Picoseconds>(lo + rng.next_below(40));
+    tracker.add(sample);
+    ref.queue_latency.push_back(sample);
+    ASSERT_EQ(tracker.size(), n + 1);
+    ASSERT_EQ(tracker.value(), ref.latency_quantile(0.99)) << "after " << n;
+  }
+}
+
+TEST(TrafficEngine, SloShedDecisionsArePinned) {
+  // The tenant's p99 at one refresh point is exactly 443'745 ps, recorded
+  // from the engine that re-sorted every sample per refresh: an SLO one
+  // picosecond below it sheds from there on, an SLO equal to it never
+  // sheds across every later refresh of the 900-request run.
+  struct Case {
+    Picoseconds slo;
+    std::uint64_t issued, shed;
+    Picoseconds elapsed;
+  };
+  for (const Case c : {Case{443'744, 54, 846, 18'937'600},
+                       Case{443'745, 900, 0, 39'649'008}}) {
+    SCOPED_TRACE(c.slo);
+    Controller ctrl = make_ctrl();
+    StreamSpec strict = StreamSpec::synthetic(8, 4, 900, 0.6, 0.3, /*seed=*/5);
+    strict.slo_p99 = c.slo;
+    std::vector<StreamSpec> tenants = {
+        strict, StreamSpec::weight_reader(12, 2, 900, /*burst=*/6)};
+    SchedulerConfig cfg;
+    cfg.queue_capacity = 8;
+    cfg.batch = 2;
+    traffic::AdmissionSpec admission;
+    admission.enabled = true;
+    admission.retry_budget = 6;
+    traffic::TrafficEngine engine(ctrl, tenants, cfg, admission);
+    const auto report = engine.run();
+    const auto& t = report.tenants[0];
+    EXPECT_EQ(t.issued, c.issued);
+    EXPECT_EQ(t.shed, c.shed);
+    EXPECT_EQ(t.failed, 0u);
+    EXPECT_EQ(report.elapsed, c.elapsed);
+  }
 }
 
 }  // namespace
