@@ -31,7 +31,8 @@ namespace {
 using namespace dl;
 
 void BM_LockTableLookup(benchmark::State& state) {
-  defense::LockTable table(16384);
+  defense::LockTable table(16384,
+                           dram::Geometry::ddr4_32gb_16bank().total_rows());
   Rng rng(1);
   for (int i = 0; i < 8192; ++i) table.lock(rng.next_below(1 << 22));
   std::uint64_t row = 0;

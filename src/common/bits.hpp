@@ -53,6 +53,27 @@ template <typename T>
   return static_cast<unsigned>(std::countr_zero(value));
 }
 
+/// Quotient and remainder of one unsigned division.
+struct QuotRem {
+  std::uint64_t quot = 0;
+  std::uint64_t rem = 0;
+};
+
+/// `value / divisor` and `value % divisor`.  A power-of-two divisor (every
+/// shipped geometry: row bytes, rows per subarray, subarrays, banks) takes
+/// a shift and a mask instead of a 64-bit hardware divide; any other
+/// divisor goes through `/` and `%`.  `divisor` must be non-zero, as for
+/// `/`.  The power-of-two test is spelled out rather than
+/// std::has_single_bit, which is a popcount — a library call on targets
+/// built without a popcount instruction.
+[[nodiscard]] constexpr QuotRem div_mod(std::uint64_t value,
+                                        std::uint64_t divisor) {
+  if ((divisor & (divisor - 1)) == 0) [[likely]] {
+    return {value >> std::countr_zero(divisor), value & (divisor - 1)};
+  }
+  return {value / divisor, value % divisor};
+}
+
 /// Number of set bits.
 [[nodiscard]] constexpr int popcount64(std::uint64_t value) {
   return std::popcount(value);

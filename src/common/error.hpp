@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dl {
 
@@ -19,10 +20,19 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
+/// `file` from its last `src/` directory on ("src/dram/types.cpp"), so an
+/// error string does not depend on the directory the tree was built in.
+/// Paths without one (already relative, or outside src/) are kept whole.
+[[nodiscard]] inline std::string_view source_relative(std::string_view file) {
+  const std::size_t pos = file.rfind("/src/");
+  return pos == std::string_view::npos ? file : file.substr(pos + 1);
+}
+
 [[noreturn]] inline void raise(const char* file, int line, const char* expr,
                                const std::string& msg) {
   std::ostringstream os;
-  os << file << ":" << line << ": requirement failed: " << expr;
+  os << source_relative(file) << ":" << line
+     << ": requirement failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }

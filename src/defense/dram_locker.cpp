@@ -26,7 +26,7 @@ DramLocker::DramLocker(dl::dram::Controller& ctrl, DramLockerConfig config,
                        dl::Rng rng)
     : ctrl_(ctrl),
       config_(config),
-      table_(config.lock_table_entries),
+      table_(config.lock_table_entries, ctrl.geometry().total_rows()),
       sequencer_(ctrl, rng, config.copy_error_rate) {
   DL_REQUIRE(config_.reserved_rows_per_subarray >= 2,
              "need at least a buffer row and one free row per subarray");

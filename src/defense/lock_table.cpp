@@ -1,52 +1,56 @@
 #include "defense/lock_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace dl::defense {
 
-LockTable::LockTable(std::size_t capacity) : capacity_(capacity) {
+LockTable::LockTable(std::size_t capacity, std::uint64_t rows)
+    : capacity_(capacity), seq_(rows, kFree) {
   DL_REQUIRE(capacity > 0, "lock-table needs at least one entry");
 }
 
 bool LockTable::lock(dl::dram::GlobalRowId physical_row) {
-  if (rows_.contains(physical_row)) return false;
-  if (rows_.size() >= capacity_) {
+  if (seq_.get(physical_row) != kFree) return false;
+  if (size_ >= capacity_) {
     ++rejected_;
     return false;
   }
-  rows_.emplace(physical_row, next_seq_++);
+  seq_.set(physical_row, next_seq_++);
+  ++size_;
   return true;
 }
 
 bool LockTable::unlock(dl::dram::GlobalRowId physical_row) {
-  return rows_.erase(physical_row) > 0;
-}
-
-bool LockTable::is_locked(dl::dram::GlobalRowId physical_row) const {
-  ++lookups_;
-  const bool hit = rows_.contains(physical_row);
-  if (hit) ++hits_;
-  return hit;
+  if (seq_.get(physical_row) == kFree) return false;
+  seq_.set(physical_row, kFree);
+  --size_;
+  return true;
 }
 
 bool LockTable::relocate(dl::dram::GlobalRowId from, dl::dram::GlobalRowId to) {
-  const auto it = rows_.find(from);
-  if (it == rows_.end()) return false;
+  const std::uint64_t seq = seq_.get(from);
+  if (seq == kFree) return false;
   if (from == to) return true;
-  const std::uint64_t seq = it->second;
-  rows_.erase(it);
-  // Relocation cannot overflow: we just freed a slot.
-  rows_.emplace(to, seq);
+  seq_.set(from, kFree);
+  // Relocation cannot overflow: we just freed a slot.  A target that is
+  // already locked keeps its own sequence number; the two locks merge.
+  if (seq_.get(to) == kFree) {
+    seq_.set(to, seq);
+  } else {
+    --size_;
+  }
   return true;
 }
 
 std::vector<dl::dram::GlobalRowId> LockTable::locked_rows() const {
   std::vector<std::pair<std::uint64_t, dl::dram::GlobalRowId>> order;
-  order.reserve(rows_.size());
-  // dl-lint: allow(unordered-iter): collected pairs are sorted by seq below
-  for (const auto& [row, seq] : rows_) order.emplace_back(seq, row);
+  order.reserve(size_);
+  seq_.for_each([&](dl::dram::GlobalRowId row, std::uint64_t seq) {
+    order.emplace_back(seq, row);
+  });
   std::sort(order.begin(), order.end());
   std::vector<dl::dram::GlobalRowId> out;
   out.reserve(order.size());
@@ -54,6 +58,9 @@ std::vector<dl::dram::GlobalRowId> LockTable::locked_rows() const {
   return out;
 }
 
-void LockTable::clear() { rows_.clear(); }
+void LockTable::clear() {
+  seq_.reset();
+  size_ = 0;
+}
 
 }  // namespace dl::defense

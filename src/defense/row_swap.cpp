@@ -14,13 +14,16 @@ using dl::dram::RowAddress;
 using dl::dram::to_global;
 
 RowSwap::RowSwap(dl::dram::Controller& ctrl, RowSwapConfig config, dl::Rng rng)
-    : ctrl_(ctrl), config_(config), rng_(rng) {
+    : ctrl_(ctrl),
+      config_(config),
+      rng_(rng),
+      counts_(ctrl.geometry().total_rows(), 0) {
   DL_REQUIRE(config_.threshold >= 2, "threshold too small");
 }
 
 void RowSwap::on_activate(GlobalRowId row, Picoseconds) {
   if (in_mitigation_) return;
-  std::uint64_t& c = counts_[row];
+  std::uint64_t& c = counts_.at(row);
   if (++c >= config_.threshold / 2) {
     c = 0;
     migrate(row);
@@ -81,7 +84,7 @@ void RowSwap::migrate(GlobalRowId aggressor_phys) {
 }
 
 void RowSwap::on_refresh_window(Picoseconds) {
-  counts_.clear();
+  counts_.reset();
   if (!config_.lazy_unswap) return;
   // SRS: restore the original layout lazily at the window boundary.
   in_mitigation_ = true;

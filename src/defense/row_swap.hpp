@@ -11,10 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/row_table.hpp"
 #include "dram/controller.hpp"
 
 namespace dl::defense {
@@ -46,7 +46,7 @@ class RowSwap final : public dl::dram::ActivationListener {
   dl::dram::Controller& ctrl_;
   RowSwapConfig config_;
   dl::Rng rng_;
-  std::unordered_map<dl::dram::GlobalRowId, std::uint64_t> counts_;
+  dl::RowTable<std::uint64_t> counts_;  ///< activations this window
   std::vector<std::pair<dl::dram::GlobalRowId, dl::dram::GlobalRowId>>
       active_swaps_;  ///< logical pairs swapped this window (for unswap)
   std::uint64_t swaps_ = 0;

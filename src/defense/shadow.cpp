@@ -10,14 +10,17 @@ using dl::dram::RowAddress;
 using dl::dram::to_global;
 
 Shadow::Shadow(dl::dram::Controller& ctrl, ShadowConfig config, dl::Rng rng)
-    : ctrl_(ctrl), config_(config), rng_(rng) {
+    : ctrl_(ctrl),
+      config_(config),
+      rng_(rng),
+      counts_(ctrl.geometry().total_rows(), 0) {
   DL_REQUIRE(config_.threshold >= 2, "threshold too small");
   DL_REQUIRE(config_.table_entries > 0, "bookkeeping table must be non-empty");
 }
 
 void Shadow::on_activate(GlobalRowId physical_row, Picoseconds) {
   if (in_mitigation_ || compromised_) return;
-  std::uint64_t& c = counts_[physical_row];
+  std::uint64_t& c = counts_.at(physical_row);
   ++c;
   if (c >= config_.threshold / 2) {
     c = 0;
@@ -80,10 +83,10 @@ void Shadow::shuffle_one(GlobalRowId victim_phys) {
   ++entries_used_;
 }
 
-void Shadow::on_refresh_window(Picoseconds) { counts_.clear(); }
+void Shadow::on_refresh_window(Picoseconds) { counts_.reset(); }
 
 void Shadow::on_row_refresh(GlobalRowId physical_row) {
-  counts_.erase(physical_row);
+  counts_.reset(physical_row);
 }
 
 }  // namespace dl::defense

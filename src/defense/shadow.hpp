@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.hpp"
+#include "common/row_table.hpp"
 #include "dram/controller.hpp"
 
 namespace dl::defense {
@@ -43,7 +43,7 @@ class Shadow final : public dl::dram::ActivationListener {
   dl::dram::Controller& ctrl_;
   ShadowConfig config_;
   dl::Rng rng_;
-  std::unordered_map<dl::dram::GlobalRowId, std::uint64_t> counts_;
+  dl::RowTable<std::uint64_t> counts_;  ///< activations this window
   std::uint64_t shuffles_ = 0;
   std::uint64_t entries_used_ = 0;
   bool compromised_ = false;

@@ -49,13 +49,16 @@ void TrrSampler::on_activate(GlobalRowId row, Picoseconds) {
 
 CounterPerRow::CounterPerRow(dl::dram::Controller& ctrl,
                              std::uint64_t threshold, std::uint32_t radius)
-    : ctrl_(ctrl), threshold_(threshold), radius_(radius) {
+    : ctrl_(ctrl),
+      threshold_(threshold),
+      radius_(radius),
+      counts_(ctrl.geometry().total_rows(), 0) {
   DL_REQUIRE(threshold_ > 0, "threshold must be positive");
 }
 
 void CounterPerRow::on_activate(GlobalRowId row, Picoseconds) {
   ++stats_.observed_acts;
-  std::uint64_t& c = counts_[row];
+  std::uint64_t& c = counts_.at(row);
   if (++c >= threshold_) {
     c = 0;
     ++stats_.mitigations;
@@ -63,13 +66,12 @@ void CounterPerRow::on_activate(GlobalRowId row, Picoseconds) {
   }
 }
 
-void CounterPerRow::on_refresh_window(Picoseconds) { counts_.clear(); }
+void CounterPerRow::on_refresh_window(Picoseconds) { counts_.reset(); }
 
-void CounterPerRow::on_row_refresh(GlobalRowId row) { counts_.erase(row); }
+void CounterPerRow::on_row_refresh(GlobalRowId row) { counts_.reset(row); }
 
 std::uint64_t CounterPerRow::count(GlobalRowId row) const {
-  const auto it = counts_.find(row);
-  return it == counts_.end() ? 0 : it->second;
+  return counts_.get(row);
 }
 
 // ------------------------------------------------------------------ Graphene

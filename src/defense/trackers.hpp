@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/row_table.hpp"
 #include "dram/controller.hpp"
 
 namespace dl::defense {
@@ -71,7 +72,7 @@ class CounterPerRow final : public dl::dram::ActivationListener {
   dl::dram::Controller& ctrl_;
   std::uint64_t threshold_;
   std::uint32_t radius_;
-  std::unordered_map<dl::dram::GlobalRowId, std::uint64_t> counts_;
+  dl::RowTable<std::uint64_t> counts_;  ///< activations this window
   TrackerStats stats_;
 };
 

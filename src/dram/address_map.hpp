@@ -7,12 +7,14 @@
 //
 // Hot path: row_and_byte() decodes straight to {GlobalRowId, byte} without
 // materializing a structured RowAddress — for the default kRowBankColumn
-// scheme that is one divide + one modulo.  to_location() keeps the
-// structured form for callers that need coordinates.
+// scheme that is one dl::div_mod, a shift and a mask for the power-of-two
+// row sizes of every shipped geometry.  to_location() keeps the structured
+// form for callers that need coordinates.
 #pragma once
 
 #include <cstdint>
 
+#include "common/bits.hpp"
 #include "dram/types.hpp"
 
 namespace dl::dram {
@@ -57,10 +59,10 @@ class AddressMapper {
   /// trip.  Identical result to {to_global(to_location(addr).row), byte}.
   [[nodiscard]] RowByte row_and_byte(PhysAddr addr) const {
     DL_REQUIRE(addr < total_bytes_, "physical address out of range");
-    const std::uint64_t linear = addr / geometry_.row_bytes;
-    const auto byte = static_cast<std::uint32_t>(addr % geometry_.row_bytes);
-    if (scheme_ == MapScheme::kRowBankColumn) return {linear, byte};
-    return {linear_row_to_global(linear), byte};
+    const QuotRem split = div_mod(addr, geometry_.row_bytes);
+    const auto byte = static_cast<std::uint32_t>(split.rem);
+    if (scheme_ == MapScheme::kRowBankColumn) return {split.quot, byte};
+    return {linear_row_to_global(split.quot), byte};
   }
 
   /// Row-granular helpers: the global row id that a physical address falls

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dram/address_map.hpp"
@@ -232,7 +233,7 @@ class Controller {
   /// Flat bank of a physical row (hot path; see Topology::bank_of_row).
   [[nodiscard]] std::size_t bank_of(GlobalRowId physical_row) const {
     DL_REQUIRE(physical_row < total_rows_, "row out of range");
-    return static_cast<std::size_t>(physical_row / rows_per_bank_);
+    return static_cast<std::size_t>(div_mod(physical_row, rows_per_bank_).quot);
   }
 
   /// Opens `phys` in its bank (PRE+ACT on miss); returns row-buffer hit and

@@ -1,16 +1,19 @@
-// Sparse backing store for DRAM row contents.
+// Backing store for DRAM row contents.
 //
 // Only rows that have been written (or disturbed) are materialized; untouched
-// rows read as zero.  The store is keyed by *physical* global row id — swap
-// defenses move data between physical rows via RowClone, and the indirection
-// layer (indirection.hpp) keeps logical addresses stable.
+// rows read as zero.  A paged RowTable (common/row_table.hpp) maps each
+// *physical* global row id to the slot of its row_bytes buffer, so finding a
+// row is two array loads, and memory grows with the rows materialized, not
+// with the geometry.  Swap defenses move data between physical rows via
+// RowClone, and the indirection layer (indirection.hpp) keeps logical
+// addresses stable.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/row_table.hpp"
 #include "dram/types.hpp"
 
 namespace dl::dram {
@@ -48,10 +51,19 @@ class DataStore {
   [[nodiscard]] std::size_t materialized_rows() const { return rows_.size(); }
 
  private:
-  Geometry geometry_;
-  mutable std::unordered_map<GlobalRowId, std::vector<std::uint8_t>> rows_;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  std::vector<std::uint8_t>& row_data(GlobalRowId row);
+  Geometry geometry_;
+  RowTable<std::uint32_t> slot_;  ///< row -> index into rows_, or kNoSlot
+  std::vector<std::vector<std::uint8_t>> rows_;  ///< materialized rows
+
+  /// Contents of `row`, or nullptr when it was never materialized.
+  [[nodiscard]] const std::uint8_t* find(GlobalRowId row) const {
+    const std::uint32_t s = slot_.get(row);
+    return s == kNoSlot ? nullptr : rows_[s].data();
+  }
+  /// Contents of `row`, materialized (zero-filled) on first use.
+  std::uint8_t* row_data(GlobalRowId row);
   void check(GlobalRowId row, std::uint32_t offset, std::size_t len) const;
 };
 

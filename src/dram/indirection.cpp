@@ -5,15 +5,21 @@
 namespace dl::dram {
 
 RowIndirection::RowIndirection(const Geometry& geometry)
-    : geometry_(geometry), total_rows_(geometry.total_rows()) {}
+    : geometry_(geometry),
+      total_rows_(geometry.total_rows()),
+      fwd_(total_rows_, kIdentity),
+      rev_(total_rows_, kIdentity) {}
 
 void RowIndirection::set_pair(GlobalRowId logical, GlobalRowId physical) {
+  const bool was_displaced = fwd_.get(logical) != kIdentity;
   if (logical == physical) {
-    fwd_.erase(logical);
-    rev_.erase(physical);
+    if (was_displaced) --displaced_;
+    fwd_.reset(logical);
+    rev_.reset(physical);
   } else {
-    fwd_[logical] = physical;
-    rev_[physical] = logical;
+    if (!was_displaced) ++displaced_;
+    fwd_.set(logical, physical);
+    rev_.set(physical, logical);
   }
 }
 
@@ -29,8 +35,9 @@ void RowIndirection::swap_logical(GlobalRowId logical_a, GlobalRowId logical_b) 
 }
 
 void RowIndirection::reset() {
-  fwd_.clear();
-  rev_.clear();
+  fwd_.reset();
+  rev_.reset();
+  displaced_ = 0;
   ++epoch_;
 }
 

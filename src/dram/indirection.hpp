@@ -2,8 +2,12 @@
 //
 // Swap-based RowHammer defenses (DRAM-Locker, SHADOW, RRS/SRS) relocate row
 // *contents* between physical rows while keeping the addresses the rest of
-// the system uses stable.  RowIndirection maintains that remap as a sparse
-// bijection: logical rows map identity unless a swap has displaced them.
+// the system uses stable.  RowIndirection maintains that remap as a
+// bijection stored in two paged RowTables (common/row_table.hpp): forward
+// (logical → physical) and reverse, each holding kIdentity for every row a
+// swap has not displaced.  A lookup is two array loads; with no row
+// displaced (the common case) it is none, and pages are allocated only
+// around rows a swap has touched.
 //
 // Invariant: the mapping is a permutation of the global row space at all
 // times (checked by swap()).
@@ -16,8 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/row_table.hpp"
 #include "dram/types.hpp"
 
 namespace dl::dram {
@@ -29,24 +33,24 @@ class RowIndirection {
   /// Physical row currently holding logical row `logical`.
   [[nodiscard]] GlobalRowId to_physical(GlobalRowId logical) const {
     DL_REQUIRE(logical < total_rows_, "logical row out of range");
-    if (fwd_.empty()) return logical;  // no swap active: identity
-    const auto it = fwd_.find(logical);
-    return it == fwd_.end() ? logical : it->second;
+    if (displaced_ == 0) return logical;  // no swap active: identity
+    const GlobalRowId phys = fwd_.get(logical);
+    return phys == kIdentity ? logical : phys;
   }
 
   /// Logical row whose contents currently live in physical row `physical`.
   [[nodiscard]] GlobalRowId to_logical(GlobalRowId physical) const {
     DL_REQUIRE(physical < total_rows_, "physical row out of range");
-    if (rev_.empty()) return physical;
-    const auto it = rev_.find(physical);
-    return it == rev_.end() ? physical : it->second;
+    if (displaced_ == 0) return physical;
+    const GlobalRowId logical = rev_.get(physical);
+    return logical == kIdentity ? physical : logical;
   }
 
   /// Exchanges the physical locations of two logical rows.
   void swap_logical(GlobalRowId logical_a, GlobalRowId logical_b);
 
   /// Number of rows currently displaced from their identity location.
-  [[nodiscard]] std::size_t displaced_rows() const { return fwd_.size(); }
+  [[nodiscard]] std::size_t displaced_rows() const { return displaced_; }
 
   /// Monotonic mutation counter; increments on every swap_logical that
   /// changes the mapping and on reset().  Cached translations tagged with
@@ -57,11 +61,15 @@ class RowIndirection {
   void reset();
 
  private:
+  /// Table entry of a row that sits at its identity location.
+  static constexpr GlobalRowId kIdentity = ~GlobalRowId{0};
+
   Geometry geometry_;
   std::uint64_t total_rows_ = 0;  ///< cached geometry_.total_rows()
   std::uint64_t epoch_ = 0;
-  std::unordered_map<GlobalRowId, GlobalRowId> fwd_;  ///< logical -> physical
-  std::unordered_map<GlobalRowId, GlobalRowId> rev_;  ///< physical -> logical
+  std::size_t displaced_ = 0;   ///< rows whose fwd_ entry is not kIdentity
+  RowTable<GlobalRowId> fwd_;  ///< logical -> physical
+  RowTable<GlobalRowId> rev_;  ///< physical -> logical
 
   void set_pair(GlobalRowId logical, GlobalRowId physical);
 };

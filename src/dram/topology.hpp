@@ -14,6 +14,7 @@
 
 #include <span>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "dram/types.hpp"
 
@@ -34,10 +35,11 @@ class Topology {
   [[nodiscard]] std::size_t bank_count() const { return open_rows_.size(); }
 
   /// Flat bank index of a physical row, consistent with open_row().
-  /// One divide — global row ids are dense in (channel, rank, bank) order.
+  /// One dl::div_mod quotient (a shift for power-of-two banks) — global
+  /// row ids are dense in (channel, rank, bank) order.
   [[nodiscard]] std::size_t bank_of_row(GlobalRowId physical_row) const {
     DL_REQUIRE(physical_row < total_rows_, "row out of range");
-    return static_cast<std::size_t>(physical_row / rows_per_bank_);
+    return static_cast<std::size_t>(div_mod(physical_row, rows_per_bank_).quot);
   }
 
   /// Physical row currently latched in `bank`'s row buffer, or kNoRow.

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/bits.hpp"
+
 namespace dl::dram {
 
 Geometry Geometry::ddr4_32gb_16bank() {
@@ -50,16 +52,18 @@ GlobalRowId to_global(const Geometry& g, const RowAddress& a) {
 
 RowAddress from_global(const Geometry& g, GlobalRowId id) {
   DL_REQUIRE(id < g.total_rows(), "global row id out of range");
+  // Peel the coordinates off lowest first; each step is a shift and a mask
+  // for the power-of-two dimensions of every shipped geometry.
   RowAddress a;
-  a.row = static_cast<std::uint32_t>(id % g.rows_per_subarray);
-  id /= g.rows_per_subarray;
-  a.subarray = static_cast<std::uint32_t>(id % g.subarrays_per_bank);
-  id /= g.subarrays_per_bank;
-  a.bank = static_cast<std::uint32_t>(id % g.banks);
-  id /= g.banks;
-  a.rank = static_cast<std::uint32_t>(id % g.ranks);
-  id /= g.ranks;
-  a.channel = static_cast<std::uint32_t>(id);
+  QuotRem q = div_mod(id, g.rows_per_subarray);
+  a.row = static_cast<std::uint32_t>(q.rem);
+  q = div_mod(q.quot, g.subarrays_per_bank);
+  a.subarray = static_cast<std::uint32_t>(q.rem);
+  q = div_mod(q.quot, g.banks);
+  a.bank = static_cast<std::uint32_t>(q.rem);
+  q = div_mod(q.quot, g.ranks);
+  a.rank = static_cast<std::uint32_t>(q.rem);
+  a.channel = static_cast<std::uint32_t>(q.quot);
   return a;
 }
 

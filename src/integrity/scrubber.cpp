@@ -11,7 +11,10 @@ using dl::dram::PhysAddr;
 
 DramScrubber::DramScrubber(dl::dram::Controller& ctrl,
                            std::vector<GlobalRowId> rows, const Config& config)
-    : ctrl_(ctrl), config_(config), rows_(std::move(rows)) {
+    : ctrl_(ctrl),
+      config_(config),
+      rows_(std::move(rows)),
+      row_index_(ctrl.geometry().total_rows(), kUnguarded) {
   const auto& g = ctrl_.geometry();
   DL_REQUIRE(!rows_.empty(), "scrubber needs at least one row");
   DL_REQUIRE(config_.group_size > 0 && g.row_bytes % config_.group_size == 0,
@@ -19,8 +22,9 @@ DramScrubber::DramScrubber(dl::dram::Controller& ctrl,
   groups_per_row_ = g.row_bytes / config_.group_size;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     DL_REQUIRE(rows_[i] < g.total_rows(), "scrub row outside the geometry");
-    DL_REQUIRE(row_index_.emplace(rows_[i], i).second,
-               "duplicate scrub row");
+    std::size_t& index = row_index_.at(rows_[i]);
+    DL_REQUIRE(index == kUnguarded, "duplicate scrub row");
+    index = i;
   }
   // Boot-time registration: snapshot the rows' clean contents from the
   // backing store and checksum them.  (Registration is not accounted DRAM
@@ -145,25 +149,25 @@ void DramScrubber::scrub_pass() {
 void DramScrubber::on_read(PhysAddr addr,
                            std::span<const std::uint8_t> data) {
   const auto rb = ctrl_.mapper().row_and_byte(addr);
-  const auto it = row_index_.find(rb.row);
-  if (it == row_index_.end()) return;
+  const std::size_t index = row_index_.get(rb.row);
+  if (index == kUnguarded) return;
   if (data.size() != config_.group_size || rb.byte % config_.group_size != 0) {
     return;  // not a group-aligned scrub chunk
   }
   ++stats_.scrub_reads;
   stats_.scrub_read_bytes += data.size();
-  verify_group(it->second, rb.byte / config_.group_size, data);
+  verify_group(index, rb.byte / config_.group_size, data);
 }
 
 bool DramScrubber::snapshot_row(GlobalRowId row,
                                 std::vector<std::uint8_t>& out) const {
-  const auto it = row_index_.find(row);
-  if (it == row_index_.end()) return false;
+  if (row >= row_index_.rows()) return false;
+  const std::size_t index = row_index_.get(row);
+  if (index == kUnguarded) return false;
   const std::uint32_t row_bytes = ctrl_.geometry().row_bytes;
-  out.assign(snapshot_.begin() + static_cast<std::ptrdiff_t>(
-                                     it->second * row_bytes),
-             snapshot_.begin() + static_cast<std::ptrdiff_t>(
-                                     (it->second + 1) * row_bytes));
+  out.assign(snapshot_.begin() + static_cast<std::ptrdiff_t>(index * row_bytes),
+             snapshot_.begin() +
+                 static_cast<std::ptrdiff_t>((index + 1) * row_bytes));
   return true;
 }
 

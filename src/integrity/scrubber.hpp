@@ -34,9 +34,9 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/row_table.hpp"
 #include "common/units.hpp"
 #include "dram/controller.hpp"
 #include "integrity/checksum.hpp"
@@ -127,10 +127,13 @@ class DramScrubber {
                     std::vector<std::uint8_t>& out) const;
 
  private:
+  /// row_index_ entry of a row the scrubber does not guard.
+  static constexpr std::size_t kUnguarded = ~std::size_t{0};
+
   dl::dram::Controller& ctrl_;
   Config config_;
   std::vector<dl::dram::GlobalRowId> rows_;
-  std::unordered_map<dl::dram::GlobalRowId, std::size_t> row_index_;
+  dl::RowTable<std::size_t> row_index_;  ///< logical row -> index in rows_
   std::size_t groups_per_row_ = 0;
   /// One checksum store over the concatenated row image (rows_ order).
   std::unique_ptr<BlockChecksums> checksums_;

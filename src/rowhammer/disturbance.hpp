@@ -13,10 +13,10 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/row_table.hpp"
 #include "dram/controller.hpp"
 #include "dram/types.hpp"
 
@@ -77,7 +77,7 @@ class DisturbanceModel final : public dl::dram::ActivationListener {
   dl::dram::Controller& ctrl_;
   DisturbanceConfig config_;
   dl::Rng rng_;
-  std::unordered_map<dl::dram::GlobalRowId, double> accum_;
+  dl::RowTable<double> accum_;  ///< per-row disturbance this window
   std::vector<FlipEvent> flips_;
   std::uint64_t total_flips_ = 0;
   std::function<void(const FlipEvent&)> callback_;

@@ -10,6 +10,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "dram/types.hpp"
 
 namespace {
 
@@ -204,6 +205,31 @@ TEST(AsciiChart, RendersSeries) {
   const std::string out = c.to_string();
   EXPECT_NE(out.find("lin"), std::string::npos);
   EXPECT_NE(out.find('*'), std::string::npos);
+}
+
+TEST(Error, SourcePathStartsAtSrc) {
+  using dl::detail::source_relative;
+  EXPECT_EQ(source_relative("/home/ci/work/repo/src/dram/types.cpp"),
+            "src/dram/types.cpp");
+  // The last src/ directory wins; a name merely ending in "src" does not.
+  EXPECT_EQ(source_relative("/a/src/b/src/common/x.hpp"), "src/common/x.hpp");
+  EXPECT_EQ(source_relative("/a/mysrc/x.cpp"), "/a/mysrc/x.cpp");
+  EXPECT_EQ(source_relative("src/common/x.hpp"), "src/common/x.hpp");
+  EXPECT_EQ(source_relative("tests/common_test.cpp"), "tests/common_test.cpp");
+}
+
+TEST(Error, FailedRequireInLibraryNamesSrcRelativePath) {
+  // A requirement inside the library: the message must not carry the
+  // directory the tree was built in.
+  try {
+    static_cast<void>(
+        dl::dram::from_global(dl::dram::Geometry::tiny(), ~0ull));
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("src/dram/types.cpp:", 0), 0u) << what;
+    EXPECT_NE(what.find("requirement failed"), std::string::npos);
+  }
 }
 
 TEST(Error, RequireThrowsWithContext) {

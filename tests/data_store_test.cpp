@@ -65,6 +65,44 @@ TEST(DataStore, CopyFromZeroRowClearsDestination) {
   EXPECT_EQ(ds.read_byte(4, 0), 0x00);
 }
 
+TEST(DataStore, CopyFromUnmaterializedSourceMaterializesNothing) {
+  DataStore ds(Geometry::tiny());
+  ds.write_byte(4, 0, 0x44);
+  ds.write_byte(4, 255, 0x55);
+  ASSERT_EQ(ds.materialized_rows(), 1u);
+  ds.copy_row(2, 4);  // zero-fills the materialized destination
+  EXPECT_EQ(ds.read_byte(4, 0), 0x00);
+  EXPECT_EQ(ds.read_byte(4, 255), 0x00);
+  EXPECT_TRUE(ds.materialized(4));
+  EXPECT_FALSE(ds.materialized(2));
+  ds.copy_row(2, 6);  // neither side materialized: nothing to do
+  EXPECT_FALSE(ds.materialized(6));
+  EXPECT_EQ(ds.materialized_rows(), 1u);
+}
+
+TEST(DataStore, FlipBitOnFreshRowMaterializesExactlyOneRow) {
+  DataStore ds(Geometry::tiny());
+  EXPECT_EQ(ds.flip_bit(300, 7, 2), 0b100);
+  EXPECT_EQ(ds.materialized_rows(), 1u);
+  EXPECT_TRUE(ds.materialized(300));
+  EXPECT_FALSE(ds.materialized(299));
+  EXPECT_FALSE(ds.materialized(301));
+  EXPECT_FALSE(ds.materialized(Geometry::tiny().total_rows()));
+}
+
+TEST(DataStore, CopyIntoFreshRowMaterializesIt) {
+  DataStore ds(Geometry::tiny());
+  std::array<std::uint8_t, 4> in{9, 8, 7, 6};
+  ds.write(1, 100, in);
+  ds.copy_row(1, 500);
+  EXPECT_EQ(ds.materialized_rows(), 2u);
+  std::array<std::uint8_t, 4> out{};
+  ds.read(500, 100, out);
+  EXPECT_EQ(out, in);
+  ds.write_byte(500, 100, 0);  // the copy is independent of its source
+  EXPECT_EQ(ds.read_byte(1, 100), 9);
+}
+
 TEST(DataStore, CopyToSelfIsNoop) {
   DataStore ds(Geometry::tiny());
   ds.write_byte(6, 3, 0x77);

@@ -171,7 +171,7 @@ TEST(FaultInjector, LockEvictionDropsOneLockedRow) {
   // No table attached: the event draws but cannot act.
   fire_acts(injector, 1);
   EXPECT_EQ(injector.stats().lock_evictions, 0u);
-  defense::LockTable table(16);
+  defense::LockTable table(16, ctrl.geometry().total_rows());
   for (GlobalRowId row = 10; row < 15; ++row) ASSERT_TRUE(table.lock(row));
   injector.attach_lock_table(&table);
   fire_acts(injector, 3);

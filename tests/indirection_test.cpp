@@ -1,8 +1,12 @@
 // Tests for the logical-to-physical row indirection.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "dram/indirection.hpp"
 
 namespace {
@@ -66,6 +70,52 @@ TEST(Indirection, ResetClearsEverything) {
   ind.reset();
   EXPECT_EQ(ind.to_physical(1), 1u);
   EXPECT_EQ(ind.displaced_rows(), 0u);
+}
+
+TEST(Indirection, DisplacedCountReturnsToZeroAfterSwapBack) {
+  RowIndirection ind(Geometry::tiny());
+  const std::uint64_t epoch0 = ind.epoch();
+  ind.swap_logical(3, 9);
+  ind.swap_logical(9, 300);  // chains through a row on another page
+  EXPECT_EQ(ind.displaced_rows(), 3u);
+  ind.swap_logical(9, 300);
+  EXPECT_EQ(ind.displaced_rows(), 2u);
+  ind.swap_logical(3, 9);
+  EXPECT_EQ(ind.displaced_rows(), 0u);
+  EXPECT_EQ(ind.epoch(), epoch0 + 4);
+  for (const GlobalRowId r : {3ull, 9ull, 300ull}) {
+    EXPECT_EQ(ind.to_physical(r), r);
+    EXPECT_EQ(ind.to_logical(r), r);
+  }
+}
+
+TEST(Indirection, MatchesReferencePermutationUnderRandomSwaps) {
+  const Geometry g = Geometry::tiny();
+  const std::uint64_t n = g.total_rows();
+  RowIndirection ind(g);
+  std::vector<GlobalRowId> fwd(n);  // logical -> physical
+  std::iota(fwd.begin(), fwd.end(), GlobalRowId{0});
+  dl::Rng rng(7);
+  for (int step = 1; step <= 3000; ++step) {
+    // Mostly a small hot set, so swaps often undo earlier ones.
+    const std::uint64_t span = rng.chance(0.8) ? 12 : n;
+    const GlobalRowId a = rng.next_below(span);
+    const GlobalRowId b = rng.next_below(span);
+    ind.swap_logical(a, b);
+    std::swap(fwd[a], fwd[b]);
+    if (step == 1500) {
+      ind.reset();
+      std::iota(fwd.begin(), fwd.end(), GlobalRowId{0});
+    }
+    if (step % 100 != 0) continue;
+    std::size_t displaced = 0;
+    for (GlobalRowId l = 0; l < n; ++l) {
+      ASSERT_EQ(ind.to_physical(l), fwd[l]) << "step " << step;
+      ASSERT_EQ(ind.to_logical(fwd[l]), l) << "step " << step;
+      if (fwd[l] != l) ++displaced;
+    }
+    ASSERT_EQ(ind.displaced_rows(), displaced) << "step " << step;
+  }
 }
 
 TEST(Indirection, OutOfRangeRejected) {
